@@ -694,13 +694,14 @@ fn main() {
     );
 
     let json = format!(
-        "{{\"bench\":\"serve_load\",\"host_cores\":{host_cores},\
+        "{{{},\
          \"note\":\"scaling levels use unique rows with the cache \
-         disabled; on a 1-core host worker counts > 1 cannot speed up \
+         disabled; worker counts above host_cores cannot speed up \
          compute-bound levels and the numbers below record that \
          honestly\",\"rows_per_request\":{},\"queue_cap\":{},\
          \"cache_cap\":{},\"deadline_ms\":{},\"levels\":[{}],\
          \"dup50\":{},\"tracing_overhead\":{},\"drains\":[{}]}}\n",
+        cfx_bench::stamp::header_fields("serve_load"),
         opts.rows,
         opts.queue_cap,
         opts.cache_cap,

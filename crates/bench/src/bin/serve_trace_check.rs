@@ -19,7 +19,12 @@
 //!    cache hits a `cache_lookup`, cache misses an `explain` and a
 //!    `serialize`;
 //! 5. outcomes are from the known vocabulary and consistent with the
-//!    HTTP status answered.
+//!    HTTP status answered;
+//! 6. a request a worker explained and served (cache miss or off) names
+//!    the deepest explain-ladder rung its rows reached, from the known
+//!    rung vocabulary; no other request names one. A fused explain call
+//!    serves many requests at once, so this field — not the call's
+//!    `explain_rung` events — is what ties a request to its rung.
 //!
 //! Prints a one-line summary and exits non-zero on any violation (or
 //! an empty trace), so CI can run it directly after a traced load.
@@ -50,6 +55,9 @@ const OUTCOMES: [(&str, u64); 7] = [
     ("internal_500", 500),
 ];
 
+/// Rung vocabulary of served, explained requests, shallowest first.
+const RUNGS: [&str; 3] = ["first_shot", "resampled", "fallback"];
+
 /// One request record, as parsed.
 struct ReqRec {
     lineno: usize,
@@ -57,6 +65,7 @@ struct ReqRec {
     outcome: String,
     status: u64,
     cache: String,
+    rung: Option<String>,
     total_ns: u64,
     stage_ns: BTreeMap<String, u64>,
 }
@@ -183,6 +192,10 @@ fn main() -> ExitCode {
                             .and_then(Value::as_str)
                             .unwrap_or("")
                             .to_string(),
+                        rung: fields
+                            .get("rung")
+                            .and_then(Value::as_str)
+                            .map(str::to_string),
                         total_ns: fields
                             .get("total_ns")
                             .and_then(Value::as_u64)
@@ -289,6 +302,20 @@ fn main() -> ExitCode {
                     );
                     errors += 1;
                 }
+            }
+        }
+        let explained = req.outcome == "served" && req.cache != "hit";
+        match (&req.rung, explained) {
+            (Some(r), true) if RUNGS.contains(&r.as_str()) => {}
+            (None, false) => {}
+            (rung, _) => {
+                eprintln!(
+                    "line {lineno}: rung {rung:?} on a request with outcome \
+                     {:?} and cache {:?} (trace {trace}); served \
+                     misses name one of {RUNGS:?}, nothing else does",
+                    req.outcome, req.cache
+                );
+                errors += 1;
             }
         }
         if req.outcome == "served" {

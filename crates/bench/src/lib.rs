@@ -6,5 +6,6 @@
 #![warn(missing_docs)]
 
 pub mod harness;
+pub mod stamp;
 
 pub use harness::*;

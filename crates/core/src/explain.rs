@@ -6,6 +6,7 @@ use crate::config::GenRecoveryConfig;
 use crate::model::FeasibleCfModel;
 use cfx_data::{csv::format_value, Encoding, Schema, Value};
 use cfx_manifold::pairwise_sq_dists;
+use cfx_tensor::init::randn;
 use cfx_tensor::{CfxError, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,6 +63,11 @@ pub struct Counterfactual {
 pub struct ExplanationBatch {
     /// Per-instance explanations.
     pub examples: Vec<Counterfactual>,
+    /// Whether a deadline cut the ladder short: remaining resample rungs
+    /// were skipped and still-broken rows went straight to the fallback.
+    /// Only an uncut batch is guaranteed to equal its rows explained
+    /// without a deadline.
+    pub deadline_cut: bool,
 }
 
 impl ExplanationBatch {
@@ -110,6 +116,13 @@ impl ExplanationBatch {
     }
 }
 
+/// 64-bit FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 fn rate(examples: &[Counterfactual], pred: impl Fn(&Counterfactual) -> bool) -> f32 {
     if examples.is_empty() {
         return 0.0;
@@ -131,8 +144,10 @@ impl FeasibleCfModel {
     /// 1. **First shot** — deterministic posterior-mean decode.
     /// 2. **Resampling** — rows whose counterfactual is non-finite, or
     ///    neither valid nor feasible, are re-decoded with perturbed
-    ///    latents up to `recovery.resample_attempts` times (fixed seeds,
-    ///    so the result is deterministic).
+    ///    latents up to `recovery.resample_attempts` times. Each row
+    ///    draws its noise from its own generator, seeded by the model
+    ///    seed, the row's bits and the attempt, so the result is
+    ///    deterministic.
     /// 3. **Fallback** — whatever still fails gets the nearest
     ///    desired-class training-pool row (FACE-style nearest-neighbor
     ///    search), with immutable columns restored from the input. When
@@ -141,6 +156,13 @@ impl FeasibleCfModel {
     ///
     /// Every sample therefore always receives a finite counterfactual;
     /// [`Counterfactual::provenance`] records which rung produced it.
+    ///
+    /// **Rows never see their batch-mates.** Every rung is row-wise: the
+    /// first shot and the fallback run kernels that are bitwise equal at
+    /// every batch shape, and rung 2 derives each row's noise from the
+    /// row alone. Explaining a concatenation of row sets therefore
+    /// returns, for each row, exactly the bytes it gets explained alone
+    /// — the property the serving daemon relies on to fuse requests.
     ///
     /// Panics on an invalid `recovery` (see
     /// [`GenRecoveryConfig::validate`]) — the fallible entry points
@@ -152,7 +174,7 @@ impl FeasibleCfModel {
         x: &Tensor,
         recovery: &GenRecoveryConfig,
     ) -> ExplanationBatch {
-        self.explain_rungs(x, recovery, None, 0).expect(
+        self.explain_rungs(x, recovery, None).expect(
             "explain without a deadline can only fail on an invalid \
              GenRecoveryConfig",
         )
@@ -168,7 +190,9 @@ impl FeasibleCfModel {
     /// - Once the budget runs out mid-ladder, remaining resample rungs
     ///   are skipped and still-broken rows jump straight to the cheap
     ///   nearest-neighbor fallback, so every returned batch is complete
-    ///   and finite. The cut is observable (`cfx_explain_deadline_cut_total`).
+    ///   and finite. The cut is observable: the batch reports it in
+    ///   [`ExplanationBatch::deadline_cut`], and the metric
+    ///   `cfx_explain_deadline_cut_total` counts it.
     ///
     /// With the same inputs and a budget large enough that nothing is
     /// cut, the result is bitwise identical to
@@ -179,30 +203,30 @@ impl FeasibleCfModel {
         recovery: &GenRecoveryConfig,
         deadline: Duration,
     ) -> Result<ExplanationBatch, CfxError> {
-        self.explain_rungs(x, recovery, Some(deadline), 0)
+        self.explain_rungs(x, recovery, Some(deadline))
     }
 
-    /// [`explain_batch_deadline`](Self::explain_batch_deadline) on a
-    /// named RNG stream: `stream` is folded into the seed of every
-    /// recovery-resampling attempt, so callers that partition work —
-    /// the serving daemon's worker pool derives `stream` from the
-    /// request rows' content fingerprint — get resampling noise that is
-    /// (a) decorrelated across distinct streams and (b) a pure function
-    /// of the stream id, never of which thread, worker, or batch the
-    /// job landed in. `stream == 0` is the historical stream:
-    /// bitwise-identical to
-    /// [`explain_batch_deadline`](Self::explain_batch_deadline).
-    ///
-    /// The deterministic first-shot decode ignores the stream entirely;
-    /// only the rung-2 perturbation noise is stream-keyed.
-    pub fn explain_batch_deadline_stream(
-        &self,
-        x: &Tensor,
-        recovery: &GenRecoveryConfig,
-        deadline: Duration,
-        stream: u64,
-    ) -> Result<ExplanationBatch, CfxError> {
-        self.explain_rungs(x, recovery, Some(deadline), stream)
+    /// Rung-2 latent noise for the rows of `x` on `attempt`: row `r`
+    /// draws its `latent_dim` standard normals from its own generator,
+    /// seeded by the model seed and an FNV-1a fingerprint of the attempt
+    /// and row `r`'s f32 bits. A row's noise is thus a pure function of
+    /// the row, never of its position or of the rows batched with it.
+    fn resample_noise(&self, x: &Tensor, attempt: u32) -> Tensor {
+        let latent = self.vae().latent_dim();
+        let mut eps = Vec::with_capacity(x.rows() * latent);
+        for r in 0..x.rows() {
+            let bits = x.row_slice(r).iter().map(|v| v.to_bits());
+            let fp = fnv1a(
+                attempt
+                    .to_le_bytes()
+                    .into_iter()
+                    .chain(bits.flat_map(u32::to_le_bytes)),
+            );
+            let mut rng =
+                StdRng::seed_from_u64(self.config().seed ^ 0x5EED ^ fp);
+            eps.extend((0..latent).map(|_| randn(&mut rng)));
+        }
+        Tensor::from_vec(x.rows(), latent, eps)
     }
 
     fn explain_rungs(
@@ -210,7 +234,6 @@ impl FeasibleCfModel {
         x: &Tensor,
         recovery: &GenRecoveryConfig,
         budget: Option<Duration>,
-        stream: u64,
     ) -> Result<ExplanationBatch, CfxError> {
         // Reject bad recovery knobs before any work: a negative or
         // non-finite noise scale would corrupt every resample rung while
@@ -266,9 +289,10 @@ impl FeasibleCfModel {
         let mut pending: Vec<usize> =
             (0..examples.len()).filter(|&r| needs_help(&examples[r])).collect();
         // Stage hook: when a serving worker has bound a request trace to
-        // this thread, the record below (like every event in this
-        // function) carries the trace id, so per-request ladder
-        // progression is reconstructable from the JSONL log.
+        // this thread (it does when a flush holds one request), the
+        // record below, like every event in this function, carries the
+        // trace id. A fused flush binds none: its rung events span many
+        // requests, and each request record names its own rung instead.
         cfx_obs::event!(
             "explain_rung",
             rung = "first_shot",
@@ -277,6 +301,7 @@ impl FeasibleCfModel {
         );
 
         // Rung 2: latent resampling on the still-failing rows only.
+        let mut deadline_cut = false;
         for attempt in 1..=recovery.resample_attempts {
             if pending.is_empty() {
                 break;
@@ -285,6 +310,7 @@ impl FeasibleCfModel {
             // resample rungs and let still-broken rows take the cheap
             // nearest-neighbor fallback below. Observable, not silent.
             if budget.as_ref().is_some_and(over) {
+                deadline_cut = true;
                 if cfx_obs::ENABLED {
                     cfx_obs::event!(
                         "explain_deadline_cut",
@@ -297,15 +323,11 @@ impl FeasibleCfModel {
                 break;
             }
             let xb = x.gather_rows_pooled(&pending);
-            // Stream 0 must reproduce the historical seeds exactly, so
-            // the stream id enters by plain XOR (identity at 0).
-            let mut rng = StdRng::seed_from_u64(
-                self.config().seed ^ 0x5EED ^ attempt as u64 ^ stream,
-            );
-            let cf_try = self.counterfactuals_with_noise(
+            let eps = self.resample_noise(&xb, attempt as u32);
+            let cf_try = self.counterfactuals_with_eps(
                 &xb,
                 recovery.noise_scale,
-                &mut rng,
+                Some(&eps),
             );
             xb.recycle();
             let try_classes = self.blackbox().predict(&cf_try);
@@ -357,7 +379,7 @@ impl FeasibleCfModel {
             );
             self.fallback_fill(x, &fallback, &mut examples);
         }
-        let batch = ExplanationBatch { examples };
+        let batch = ExplanationBatch { examples, deadline_cut };
         if cfx_obs::ENABLED {
             let counts = batch.provenance_counts();
             let rows = batch.examples.len();

@@ -893,8 +893,7 @@ impl FeasibleCfModel {
     /// (posterior-mean decode): encode under the desired class, decode,
     /// restore immutable columns.
     pub fn counterfactuals(&self, x: &Tensor) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xCF);
-        self.counterfactuals_with_noise(x, 0.0, &mut rng)
+        self.counterfactuals_with_eps(x, 0.0, None)
     }
 
     /// Stochastic variant: perturbs the latent code by `noise_scale`
@@ -906,11 +905,25 @@ impl FeasibleCfModel {
         noise_scale: f32,
         rng: &mut StdRng,
     ) -> Tensor {
+        let eps = (noise_scale > 0.0)
+            .then(|| randn_tensor(x.rows(), self.vae.latent_dim(), rng));
+        self.counterfactuals_with_eps(x, noise_scale, eps.as_ref())
+    }
+
+    /// [`counterfactuals_with_noise`](Self::counterfactuals_with_noise)
+    /// with caller-supplied latent draws, one row of `eps` per row of `x`
+    /// (see [`Cvae::generate`]).
+    pub(crate) fn counterfactuals_with_eps(
+        &self,
+        x: &Tensor,
+        noise_scale: f32,
+        eps: Option<&Tensor>,
+    ) -> Tensor {
         let cond = self.desired_cond(x);
         // `generate` returns a pool-origin buffer (it ends in a pooled
         // `Mlp::predict`): squash it in place and hand it back so repeated
         // resampling rounds reuse the same allocations.
-        let mut recon = self.vae.generate(x, &cond, noise_scale, rng);
+        let mut recon = self.vae.generate(x, &cond, noise_scale, eps);
         recon.map_inplace(stable_sigmoid);
         let cf = self.mask.apply(x, &recon);
         recon.recycle();

@@ -183,30 +183,34 @@ impl Cvae {
 
     /// Encode-perturb-decode generation used at counterfactual time:
     /// encodes `x` under the desired class, samples
-    /// `z = mu + ε·exp(logvar/2)` and decodes. With `noise_scale = 0` the
-    /// decode is deterministic at the posterior mean.
-    pub fn generate<R: Rng + ?Sized>(
+    /// `z = mu + noise_scale·ε·exp(logvar/2)` and decodes. Row `r` of
+    /// `eps` (standard-normal draws, one row per row of `x`) perturbs row
+    /// `r` of `x`, so a caller that derives each row's noise on its own
+    /// makes every row's output independent of its batch-mates. `None`,
+    /// or `noise_scale = 0`, decodes deterministically at the posterior
+    /// mean.
+    pub fn generate(
         &self,
         x: &Tensor,
         cond: &Tensor,
         noise_scale: f32,
-        rng: &mut R,
+        eps: Option<&Tensor>,
     ) -> Tensor {
         let (mu, logvar) = self.encode(x, cond);
-        let z = if noise_scale > 0.0 {
-            let eps = randn_tensor(mu.rows(), mu.cols(), rng);
-            let mut z = mu.clone();
-            for ((z, &lv), &e) in z
-                .as_mut_slice()
-                .iter_mut()
-                .zip(logvar.as_slice())
-                .zip(eps.as_slice())
-            {
-                *z += noise_scale * e * (0.5 * lv).exp();
+        let z = match eps {
+            Some(eps) if noise_scale > 0.0 => {
+                let mut z = mu.clone();
+                for ((z, &lv), &e) in z
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(logvar.as_slice())
+                    .zip(eps.as_slice())
+                {
+                    *z += noise_scale * e * (0.5 * lv).exp();
+                }
+                z
             }
-            z
-        } else {
-            mu
+            _ => mu,
         };
         self.decode(&z, cond)
     }
@@ -354,8 +358,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let vae = Cvae::paper(5, &mut rng);
         let x = uniform_tensor(1, 5, 0.0, 1.0, &mut rng);
-        let pos = vae.generate(&x, &Tensor::scalar(1.0), 0.0, &mut rng);
-        let neg = vae.generate(&x, &Tensor::scalar(0.0), 0.0, &mut rng);
+        let pos = vae.generate(&x, &Tensor::scalar(1.0), 0.0, None);
+        let neg = vae.generate(&x, &Tensor::scalar(0.0), 0.0, None);
         let diff: f32 = pos
             .as_slice()
             .iter()

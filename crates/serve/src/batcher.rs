@@ -1,37 +1,44 @@
-//! The explain worker pool: deadline-based micro-batching into
-//! `explain_batch`, across N deterministically-sharded workers.
+//! The explain worker pool: continuous batching into one fused
+//! `explain_batch_deadline` call per flush, across N
+//! deterministically-sharded workers.
 //!
-//! PR 7 ran one batcher thread, which serializes the serving hot path:
-//! under 64 clients the queue, not the model, sets the latency floor.
-//! The pool removes that funnel. Each worker owns one bounded queue
-//! (jobs are routed to `shard = fnv1a(row_bits) % N` at admission, see
-//! [`crate::shard`]), its own `Arc<Servable>` snapshot grabs, and —
-//! because tensor-pool buffers are thread-local (PR 3) — its own warm
-//! allocation pool. Workers share nothing but the registry and the
-//! response cache, both designed for concurrent readers.
+//! Each worker owns one bounded queue (jobs are routed to
+//! `shard = fnv1a(row_bits) % N` at admission, see [`crate::shard`]),
+//! its own `Arc<Servable>` snapshot grabs, and — because tensor-pool
+//! buffers are thread-local — its own warm allocation pool. Workers
+//! share nothing but the registry and the response cache, both designed
+//! for concurrent readers.
 //!
-//! **Responses are byte-identical at every worker count.** Two rules
-//! make that hold:
+//! **Continuous batching.** When a worker wakes, it takes every job
+//! already queued, up to `max_batch_rows`, under one queue lock
+//! ([`BoundedQueue::drain_while`]) and does not wait for more: a lone
+//! request never waits for batch-mates. Under load a backlog builds
+//! while the worker is busy, so flushes grow exactly when fusing pays.
+//! `linger` is an opt-in extra wait (default zero) for deployments that
+//! prefer wider batches to latency.
 //!
-//! 1. Each job is explained as its own `explain_batch` call (in
-//!    arrival order within its worker), never concatenated with
-//!    batch-mates — the resampling rung draws noise positionally, so
-//!    concatenation would make a request's bytes depend on strangers.
-//! 2. The recovery-resampling RNG stream is derived from the job's
-//!    **row fingerprint** (the same value that picked the worker), not
-//!    from the worker index: re-routing a job by changing
-//!    `CFX_SERVE_WORKERS` cannot move it onto a different stream.
+//! **Responses are byte-identical at every worker count and in every
+//! flush.** Two rules make that hold:
 //!
-//! Within one worker, batching amortizes queue wake-ups and snapshot
-//! grabs exactly as before: gather ≤ `max_batch_rows` until
-//! `min(linger, earliest deadline)`, answer expired jobs with a typed
-//! [`CfxError::Timeout`] without spending compute, and answer every
-//! admitted job exactly once (the drain contract).
+//! 1. A flush is explained as **one** fused call over the concatenated
+//!    rows, then scattered back per job. This is safe because every
+//!    rung of the explain ladder is row-wise: the recovery-resampling
+//!    noise of each row is derived from the row's own bits (see
+//!    `FeasibleCfModel::explain_batch_with`), so a row's answer never
+//!    depends on its batch-mates, its position, or its worker.
+//! 2. Deadlines never leak between batch-mates. Jobs that expired in the
+//!    queue get a typed [`CfxError::Timeout`] without compute. The fused
+//!    call's budget is the earliest live deadline in the flush; if that
+//!    call times out or is cut short, every still-live job is
+//!    re-explained alone on its own budget, so a tight batch-mate can
+//!    cost another job neither its answer nor its bytes.
+//!
+//! Every admitted job is answered exactly once (the drain contract).
 
 use crate::cache::{CacheKey, ResponseCache};
 use crate::queue::BoundedQueue;
 use crate::registry::{ModelRegistry, Servable};
-use cfx_core::Provenance;
+use cfx_core::{Counterfactual, Provenance};
 use cfx_obs::json::write_f64;
 use cfx_tensor::{CfxError, Tensor};
 use std::fmt::Write as _;
@@ -44,7 +51,7 @@ pub struct ExplainJob {
     /// Decoded feature rows (already width-validated at admission).
     pub rows: Vec<Vec<f32>>,
     /// Content fingerprint of `rows` ([`crate::shard::row_fingerprint`]):
-    /// the shard selector, the RNG stream, and the cache-key hash.
+    /// the shard selector and the cache-key hash.
     pub fingerprint: u64,
     /// Absolute deadline for the reply.
     pub deadline: Instant,
@@ -53,8 +60,9 @@ pub struct ExplainJob {
     /// When admission pushed the job (queue-wait timing anchor).
     pub admitted_at: Instant,
     /// The request's trace id, if the connection allocated one. The
-    /// worker binds it as the thread's trace scope while processing, so
-    /// every event emitted inside `explain_batch` carries it.
+    /// worker binds it as the thread's trace scope while it works on
+    /// this job alone (a flush of one, a solo re-explain, rendering), so
+    /// events emitted there carry it.
     pub trace: Option<cfx_obs::TraceId>,
     /// Where the rendered body (or typed error) plus worker-side stage
     /// timings go.
@@ -68,10 +76,12 @@ pub struct ExplainJob {
 pub struct WorkerTimings {
     /// Admission push → worker pop (time spent queued).
     pub queue_wait_ns: u64,
-    /// Worker pop → explain start (batch gather + predecessors in the
-    /// same batch).
+    /// Worker pop → explain start (gathering the flush, plus any
+    /// opt-in linger).
     pub linger_ns: u64,
-    /// Time inside `explain_batch_deadline_stream`.
+    /// Explain start → this job's counterfactuals ready: the fused
+    /// `explain_batch_deadline` call over the whole flush, plus the
+    /// job's solo re-explain when the fused call could not answer it.
     pub explain_ns: u64,
     /// Time rendering the JSON body.
     pub serialize_ns: u64,
@@ -84,6 +94,10 @@ pub struct WorkerTimings {
 pub struct JobReply {
     /// Pre-rendered JSON body on success, typed error otherwise.
     pub result: Result<String, CfxError>,
+    /// The deepest rung of the explain ladder any of the job's rows
+    /// reached (`first_shot`, `resampled` or `fallback`); `None` when the
+    /// job was not answered with counterfactuals.
+    pub rung: Option<&'static str>,
     /// Worker-side stage decomposition.
     pub timings: WorkerTimings,
 }
@@ -91,18 +105,18 @@ pub struct JobReply {
 /// Batching knobs (per worker).
 #[derive(Debug, Clone, Copy)]
 pub struct BatcherConfig {
-    /// Row budget per flush.
+    /// Row budget per flush: jobs join while the flush holds fewer rows
+    /// (so one flush exceeds it by at most one request).
     pub max_batch_rows: usize,
-    /// How long to linger for batch-mates after the first job.
+    /// Opt-in extra wait for batch-mates after the backlog is taken
+    /// (never past the flush's earliest deadline). Zero — the default —
+    /// is pure continuous batching.
     pub linger: Duration,
 }
 
 impl Default for BatcherConfig {
     fn default() -> Self {
-        BatcherConfig {
-            max_batch_rows: 256,
-            linger: Duration::from_millis(2),
-        }
+        BatcherConfig { max_batch_rows: 256, linger: Duration::ZERO }
     }
 }
 
@@ -114,6 +128,9 @@ pub struct WorkerCtx {
     pub cache: Option<Arc<ResponseCache>>,
 }
 
+/// A job plus the instant the worker took it off the queue.
+type Picked = (ExplainJob, Instant);
+
 /// Consumes `queue` until it is closed *and* empty (the drain
 /// contract), answering every job exactly once.
 pub fn run(
@@ -124,109 +141,210 @@ pub fn run(
 ) {
     let jobs_metric = format!("cfx_serve_worker_jobs_total:w{}", ctx.index);
     while let Some(first) = queue.pop_wait() {
-        let mut batch = vec![(first, Instant::now())];
-        let mut rows = batch[0].0.rows.len();
-        let flush_by = Instant::now() + cfg.linger;
-        let flush_by = flush_by.min(batch[0].0.deadline);
-        while rows < cfg.max_batch_rows {
-            match queue.pop_until(flush_by) {
-                Some(job) => {
-                    rows += job.rows.len();
-                    batch.push((job, Instant::now()));
-                }
-                None => break,
-            }
-        }
-        // Reload opportunity at every batch boundary: a new checkpoint
-        // is at most one batch away from serving on every worker (the
+        let (flush, rows) = gather(queue, cfg, (first, Instant::now()));
+        // Reload opportunity at every flush boundary: a new checkpoint
+        // is at most one flush away from serving on every worker (the
         // registry serializes the actual load internally).
         let _ = registry.poll();
         let servable = registry.current();
         if cfx_obs::ENABLED {
             use cfx_obs::metrics::{counter, histogram};
             counter("cfx_serve_batches_total").inc(1);
-            counter("cfx_serve_worker_jobs_total").inc(batch.len() as u64);
-            counter(&jobs_metric).inc(batch.len() as u64);
+            counter("cfx_serve_worker_jobs_total").inc(flush.len() as u64);
+            counter(&jobs_metric).inc(flush.len() as u64);
             histogram("cfx_serve_batch_rows", &[1.0, 4.0, 16.0, 64.0, 256.0])
                 .observe(rows as f64);
         }
-        for (job, picked_at) in batch {
-            // Bind the request's trace to this thread: every event the
-            // explain ladder emits (rung progression, deadline cuts)
-            // lands in the log attributed to this exact request.
-            let _trace = job.trace.map(cfx_obs::TraceScope::enter);
-            let explain_start = Instant::now();
-            let (result, explain_ns, serialize_ns) =
-                explain_job(&servable, &job);
-            let timings = WorkerTimings {
-                queue_wait_ns: picked_at
-                    .saturating_duration_since(job.admitted_at)
-                    .as_nanos() as u64,
-                linger_ns: explain_start
-                    .saturating_duration_since(picked_at)
-                    .as_nanos() as u64,
-                explain_ns,
-                serialize_ns,
-                worker: ctx.index as u64,
-            };
-            if let (Some(cache), Ok(body)) = (&ctx.cache, &result) {
-                // The worker inserts (not the connection thread): only
-                // here is the (body, model version) pairing known
-                // race-free, so a swap mid-request can never cache a
-                // new-version key against an old-version body.
-                cache.insert(
-                    CacheKey::new(
-                        &job.rows,
-                        job.fingerprint,
-                        servable.version,
-                        servable.explain_fingerprint(),
-                    ),
-                    body.clone(),
-                );
-            }
-            // A dead receiver (client gone) is fine; the send result
-            // only tells us whether anyone is still listening.
-            let _ = job.reply.send(JobReply { result, timings });
-        }
+        answer_flush(&servable, ctx, flush);
     }
 }
 
-/// Runs one job against the current snapshot, enforcing its deadline.
-/// Returns the result plus `(explain_ns, serialize_ns)` stage timings.
-fn explain_job(
-    servable: &Servable,
-    job: &ExplainJob,
-) -> (Result<String, CfxError>, u64, u64) {
-    let now = Instant::now();
-    if now >= job.deadline {
+/// Builds one flush from `first`: the backlog already queued, taken
+/// under one lock while the flush holds fewer than `max_batch_rows`
+/// rows, then — only with an opt-in `linger` — whatever arrives before
+/// `min(first pick + linger, earliest deadline)`. Returns the flush and
+/// its row count.
+fn gather(
+    queue: &BoundedQueue<ExplainJob>,
+    cfg: &BatcherConfig,
+    first: Picked,
+) -> (Vec<Picked>, usize) {
+    let mut rows = first.0.rows.len();
+    let mut flush = vec![first];
+    let backlog = queue.drain_while(|job| {
+        let take = rows < cfg.max_batch_rows;
+        if take {
+            rows += job.rows.len();
+        }
+        take
+    });
+    let picked_at = Instant::now();
+    flush.extend(backlog.into_iter().map(|job| (job, picked_at)));
+    if !cfg.linger.is_zero() {
+        let earliest = flush
+            .iter()
+            .map(|(job, _)| job.deadline)
+            .min()
+            .expect("a flush holds its first job");
+        let flush_by = (flush[0].1 + cfg.linger).min(earliest);
+        while rows < cfg.max_batch_rows {
+            match queue.pop_until(flush_by) {
+                Some(job) => {
+                    rows += job.rows.len();
+                    flush.push((job, Instant::now()));
+                }
+                None => break,
+            }
+        }
+    }
+    (flush, rows)
+}
+
+/// Answers every job of one flush exactly once: expired jobs with a
+/// typed timeout, live jobs from one fused explain call — or, for a
+/// flush of one or when the fused call cannot answer them, alone.
+fn answer_flush(servable: &Servable, ctx: &WorkerCtx, flush: Vec<Picked>) {
+    let start = Instant::now();
+    let (expired, live): (Vec<Picked>, Vec<Picked>) =
+        flush.into_iter().partition(|(job, _)| start >= job.deadline);
+    for (job, picked_at) in expired {
         // Expired while queued: shed the compute, type the miss.
         if cfx_obs::ENABLED {
             cfx_obs::metrics::counter("cfx_serve_expired_total").inc(1);
         }
-        return (
-            Err(CfxError::timeout("queued explain", job.deadline_ms)),
-            0,
-            0,
+        let result =
+            Err(CfxError::timeout("queued explain", job.deadline_ms));
+        finish_job(servable, ctx, job, picked_at, start, start, result);
+    }
+    if live.len() > 1 {
+        // One call over every live row, on the earliest live deadline.
+        // It serves many requests, so it binds no trace scope; each
+        // request record names its own rung instead.
+        let earliest = live
+            .iter()
+            .map(|(job, _)| job.deadline)
+            .min()
+            .expect("a fused flush has live jobs");
+        let rows: Vec<Vec<f32>> = live
+            .iter()
+            .flat_map(|(job, _)| job.rows.iter().cloned())
+            .collect();
+        let fused = servable.model.explain_batch_deadline(
+            &Tensor::from_rows(&rows),
+            &servable.recovery,
+            earliest.saturating_duration_since(start),
+        );
+        let ready = Instant::now();
+        match fused {
+            Ok(batch) if !batch.deadline_cut => {
+                let mut examples = batch.examples.into_iter();
+                for (job, picked_at) in live {
+                    let mine = examples.by_ref().take(job.rows.len()).collect();
+                    let result = Ok(mine);
+                    finish_job(
+                        servable, ctx, job, picked_at, start, ready, result,
+                    );
+                }
+                return;
+            }
+            _ => {
+                if cfx_obs::ENABLED {
+                    cfx_obs::metrics::counter("cfx_serve_fused_retry_total")
+                        .inc(1);
+                }
+            }
+        }
+    }
+    // A flush of one, or a fused call that timed out or was cut short on
+    // the tightest job's budget: each live job alone, on its own budget,
+    // exactly as if it had arrived alone.
+    for (job, picked_at) in live {
+        let result = explain_alone(servable, &job);
+        let ready = Instant::now();
+        finish_job(servable, ctx, job, picked_at, start, ready, result);
+    }
+}
+
+/// Explains one job's rows in their own call, on the job's own
+/// remaining budget, with its trace bound.
+fn explain_alone(
+    servable: &Servable,
+    job: &ExplainJob,
+) -> Result<Vec<Counterfactual>, CfxError> {
+    let _trace = job.trace.map(cfx_obs::TraceScope::enter);
+    let now = Instant::now();
+    if now >= job.deadline {
+        return Err(CfxError::timeout("explain", job.deadline_ms));
+    }
+    servable
+        .model
+        .explain_batch_deadline(
+            &Tensor::from_rows(&job.rows),
+            &servable.recovery,
+            job.deadline - now,
+        )
+        .map(|batch| batch.examples)
+}
+
+/// Renders, caches and replies one job's answer. `start` is when the
+/// flush's explain began and `ready` when this job's counterfactuals
+/// (or error) were in hand.
+fn finish_job(
+    servable: &Servable,
+    ctx: &WorkerCtx,
+    job: ExplainJob,
+    picked_at: Instant,
+    start: Instant,
+    ready: Instant,
+    result: Result<Vec<Counterfactual>, CfxError>,
+) {
+    let _trace = job.trace.map(cfx_obs::TraceScope::enter);
+    let serialize_timer = Instant::now();
+    let rung = result.as_ref().ok().map(|examples| deepest_rung(examples));
+    let result = result.map(|examples| render_body(servable, &examples));
+    let serialize_ns = match result {
+        Ok(_) => serialize_timer.elapsed().as_nanos() as u64,
+        Err(_) => 0,
+    };
+    let timings = WorkerTimings {
+        queue_wait_ns: picked_at
+            .saturating_duration_since(job.admitted_at)
+            .as_nanos() as u64,
+        linger_ns: start.saturating_duration_since(picked_at).as_nanos()
+            as u64,
+        explain_ns: ready.saturating_duration_since(start).as_nanos() as u64,
+        serialize_ns,
+        worker: ctx.index as u64,
+    };
+    if let (Some(cache), Ok(body)) = (&ctx.cache, &result) {
+        // The worker inserts (not the connection thread): only here is
+        // the (body, model version) pairing known race-free, so a swap
+        // mid-request can never cache a new-version key against an
+        // old-version body.
+        cache.insert(
+            CacheKey::new(
+                &job.rows,
+                job.fingerprint,
+                servable.version,
+                servable.explain_fingerprint(),
+            ),
+            body.clone(),
         );
     }
-    let x = Tensor::from_rows(&job.rows);
-    let explain_timer = Instant::now();
-    let batch = match servable.model.explain_batch_deadline_stream(
-        &x,
-        &servable.recovery,
-        job.deadline - now,
-        job.fingerprint,
-    ) {
-        Ok(b) => b,
-        Err(e) => {
-            return (Err(e), explain_timer.elapsed().as_nanos() as u64, 0)
-        }
+    // A dead receiver (client gone) is fine; the send result only tells
+    // us whether anyone is still listening.
+    let _ = job.reply.send(JobReply { result, rung, timings });
+}
+
+/// The deepest ladder rung among `examples`, as a trace tag.
+fn deepest_rung(examples: &[Counterfactual]) -> &'static str {
+    let depth = |p: Provenance| match p {
+        Provenance::FirstShot => 0,
+        Provenance::Resampled(_) => 1,
+        Provenance::Fallback => 2,
     };
-    let explain_ns = explain_timer.elapsed().as_nanos() as u64;
-    let serialize_timer = Instant::now();
-    let body = render_body(servable, &batch.examples);
-    let serialize_ns = serialize_timer.elapsed().as_nanos() as u64;
-    (Ok(body), explain_ns, serialize_ns)
+    let deepest = examples.iter().map(|e| depth(e.provenance)).max();
+    ["first_shot", "resampled", "fallback"][deepest.unwrap_or(0)]
 }
 
 /// Renders the `/explain` response body. Deterministic: floats go

@@ -24,10 +24,11 @@
 //!   typed [`cfx_tensor::CfxError::Timeout`] → `504`/`408`.
 //! * **Graceful drain.** SIGTERM stops admissions, completes every
 //!   accepted request, writes a final Prometheus snapshot, and exits 0.
-//! * **Deterministic responses.** Requests are explained individually
-//!   (micro-batching amortizes wake-ups, never mixes RNG streams), so
-//!   a response's bytes depend only on its own rows and the model
-//!   version — under load, under drain, under chaos.
+//! * **Deterministic responses.** Each worker fuses the queued backlog
+//!   into one explain call (continuous batching), yet every rung of the
+//!   explain ladder is row-wise, so a response's bytes depend only on
+//!   its own rows and the model version — under load, under drain,
+//!   under chaos, and whatever its batch-mates.
 //! * **Deterministic chaos.** `CFX_SERVE_FAULT=slow-client|malformed|`
 //!   `kill@<n>` arms reproducible network faults for drills.
 //!

@@ -119,6 +119,18 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    /// Pops items from the front without blocking for as long as `take`
+    /// accepts the next one — the whole backlog leaves under one lock
+    /// instead of one lock round-trip per item.
+    pub fn drain_while(&self, mut take: impl FnMut(&T) -> bool) -> Vec<T> {
+        let mut g = self.inner.lock().unwrap();
+        let mut out = Vec::new();
+        while g.items.front().is_some_and(&mut take) {
+            out.extend(g.items.pop_front());
+        }
+        out
+    }
+
     /// Stops admissions and wakes all blocked consumers; queued items
     /// remain poppable so in-flight work finishes.
     pub fn close(&self) {
@@ -166,6 +178,24 @@ mod tests {
         let t0 = Instant::now();
         assert_eq!(q.pop_until(t0 + Duration::from_millis(20)), None);
         assert!(t0.elapsed() >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn drain_while_takes_the_accepted_prefix_in_order() {
+        let q = BoundedQueue::new(8);
+        for i in 1..=5u8 {
+            q.try_push(i).unwrap();
+        }
+        let mut budget = 6u8;
+        let taken = q.drain_while(|&i| {
+            let take = budget >= i;
+            budget = budget.saturating_sub(i);
+            take
+        });
+        assert_eq!(taken, vec![1, 2, 3]);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.drain_while(|_| true), vec![4, 5]);
+        assert!(q.drain_while(|_| true).is_empty());
     }
 
     #[test]

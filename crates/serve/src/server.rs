@@ -63,9 +63,13 @@ pub struct ServeConfig {
     pub cache_cap: usize,
     /// Max concurrent connections before shedding at accept.
     pub max_conns: usize,
-    /// Micro-batcher row budget per flush.
+    /// Row budget per fused flush: a worker takes queued jobs while its
+    /// flush holds fewer rows than this.
     pub max_batch_rows: usize,
-    /// Micro-batcher linger in milliseconds.
+    /// Opt-in extra wait, in milliseconds, for batch-mates after a worker
+    /// has taken the queued backlog. The default 0 is pure continuous
+    /// batching: a lone request never waits, and batches grow only from
+    /// the backlog that builds while a worker is busy.
     pub linger_ms: u64,
     /// Deadline applied when a request does not name one.
     pub default_deadline_ms: u64,
@@ -113,7 +117,7 @@ impl Default for ServeConfig {
             cache_cap: env_usize("CFX_SERVE_CACHE_CAP", 1024),
             max_conns: 128,
             max_batch_rows: 256,
-            linger_ms: 2,
+            linger_ms: 0,
             default_deadline_ms: 2_000,
             max_deadline_ms: 30_000,
             read_timeout_ms: 2_000,
@@ -331,6 +335,7 @@ fn register_metrics(workers: usize) {
     counter("cfx_serve_malformed_total").inc(0);
     counter("cfx_serve_batches_total").inc(0);
     counter("cfx_serve_expired_total").inc(0);
+    counter("cfx_serve_fused_retry_total").inc(0);
     counter("cfx_serve_model_reloads_total").inc(0);
     counter("cfx_serve_model_quarantined_total").inc(0);
     counter("cfx_serve_worker_jobs_total").inc(0);
@@ -993,6 +998,9 @@ struct ExplainObs {
     cache: &'static str,
     /// Worker that ran the job, when one did.
     worker: Option<u64>,
+    /// Deepest explain-ladder rung among the request's rows, when a
+    /// worker explained them.
+    rung: Option<&'static str>,
     parse_ns: u64,
     cache_lookup_ns: u64,
     queue_wait_ns: u64,
@@ -1056,6 +1064,9 @@ fn finish_explain(shared: &Shared, obs: &ExplainObs) {
             ];
             if let Some(w) = obs.worker {
                 fields.push(("worker", FieldValue::U64(w)));
+            }
+            if let Some(rung) = obs.rung {
+                fields.push(("rung", FieldValue::Str(rung.into())));
             }
             cfx_obs::emit_request("explain", &fields);
         }
@@ -1159,9 +1170,9 @@ fn explain_inner(
         .min(shared.cfg.max_deadline_ms);
     let deadline = anchor + Duration::from_millis(deadline_ms);
 
-    // One content hash serves four masters: the shard selector (which
-    // worker), the recovery RNG stream (worker-count-invariant bytes),
-    // the cache-key routing hash, and the drift-accumulator shard.
+    // One content hash serves three masters: the shard selector (which
+    // worker), the cache-key routing hash, and the drift-accumulator
+    // shard.
     let fingerprint = shard::row_fingerprint(&parsed.rows);
 
     // Fold the rows into the drift accumulator before cache lookup and
@@ -1281,6 +1292,7 @@ fn explain_inner(
             obs.explain_ns = reply.timings.explain_ns;
             obs.serialize_ns = reply.timings.serialize_ns;
             obs.worker = Some(reply.timings.worker);
+            obs.rung = reply.rung;
             match reply.result {
                 Ok(body) => {
                     obs.outcome = "served";

@@ -8,12 +8,12 @@
 //!   same worker (for a fixed pool size), so per-worker state — the
 //!   thread-local tensor pool warmed by PR 3, branch predictors, the
 //!   model snapshot in cache — stays hot for repeated rows.
-//! * **Worker-count invariance of bytes.** The recovery-resampling RNG
-//!   stream is derived from the same fingerprint
-//!   ([`row_fingerprint`]), *not* from the worker index. Changing
-//!   `CFX_SERVE_WORKERS` re-routes jobs but cannot change any
-//!   response byte — the PR-1/PR-3 "parallel == serial bitwise"
-//!   invariant extended to serving.
+//! * **Worker-count invariance of bytes.** Routing carries no state
+//!   into the answer: the explain ladder derives each row's
+//!   recovery-resampling noise from the row's own bits, never from the
+//!   worker index or batch-mates. Changing `CFX_SERVE_WORKERS`
+//!   re-routes jobs but cannot change any response byte — the
+//!   "parallel == serial bitwise" invariant extended to serving.
 //! * **Platform stability.** The hash runs over the rows' f32 **bit
 //!   patterns** in little-endian byte order — no float arithmetic, no
 //!   pointer-width dependence — so a request shards identically on
@@ -43,9 +43,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// value's f32 bit pattern (little-endian), with a length-prefix per
 /// row so `[[a, b]]` and `[[a], [b]]` cannot collide structurally.
 ///
-/// The fingerprint is both the shard selector and the RNG stream of
-/// the job (see [`crate::batcher`]) and one ingredient of the response
-/// cache key (see [`crate::cache`]). `-0.0` and `0.0` hash differently
+/// The fingerprint is both the shard selector of the job (see
+/// [`crate::batcher`]) and one ingredient of the response cache key
+/// (see [`crate::cache`]). `-0.0` and `0.0` hash differently
 /// on purpose: they are different encoded rows and may decode
 /// differently downstream.
 pub fn row_fingerprint(rows: &[Vec<f32>]) -> u64 {

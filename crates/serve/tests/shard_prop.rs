@@ -1,7 +1,7 @@
 //! Property tests pinning the job→worker shard function across
 //! platforms. The routing rule `shard = fnv1a(row_bits) % workers` is
-//! part of the serving contract — the response-cache key, the recovery
-//! RNG stream, and worker stickiness all hang off it — so the hash must
+//! part of the serving contract — the response-cache key and worker
+//! stickiness both hang off it — so the hash must
 //! produce the *same* u64 on every architecture and release. These
 //! tests pin known FNV-1a vectors, pin concrete `row_fingerprint`
 //! values (computed from the spec: per-row u64 little-endian length

@@ -136,11 +136,12 @@ fn feasibility_metric_agrees_across_core_and_harness_paths() {
     let p = pipeline(DatasetId::Adult, 3_000, 9);
     let model = train_ours(&p, DatasetId::Adult, ConstraintMode::Unary);
     let x = denied(&p, 60);
-    let cf = model.counterfactuals(&x);
     // Path 1: per-example flags from explain_batch.
     let batch = model.explain_batch(&x);
-    // Path 2: the batch-level rate used by the Table IV harness.
-    let rate = feasibility_rate(model.constraints(), &x, &cf);
+    // Path 2: the batch-level rate the Table IV harness computes over the
+    // same counterfactuals (`Harness::evaluate_ours` judges
+    // `batch.cf_tensor()`, recovery ladder included).
+    let rate = feasibility_rate(model.constraints(), &x, &batch.cf_tensor());
     assert!(
         (batch.feasibility_rate() - rate).abs() < 1e-6,
         "explain_batch {} vs feasibility_rate {}",

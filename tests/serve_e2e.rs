@@ -472,7 +472,9 @@ fn healthz_u64(body: &str, field: &str) -> u64 {
 /// The worker-pool acceptance test: the same request set — arriving in
 /// a different order — produces byte-identical bodies at 1 and at 4
 /// workers. The cache is disabled so every request actually routes
-/// through a worker and the resampling RNG stream gets exercised.
+/// through a worker. Bytes cannot move because the explain ladder draws
+/// each row's resampling noise from the row's own bits, never from the
+/// worker or from batch-mates.
 #[test]
 fn worker_count_is_invisible_in_response_bytes() {
     let f = fixture();
@@ -519,6 +521,58 @@ fn worker_count_is_invisible_in_response_bytes() {
         base, wide,
         "responses must be byte-identical at every worker count"
     );
+}
+
+/// Deadlines never leak between fused batch-mates. A large request
+/// keeps the single worker busy while a `deadline_ms: 1` request and a
+/// 30 s request queue behind it, so the pair shares the next flush. The
+/// tight request may time out; the 30 s request is always served, with
+/// the bytes it gets alone.
+#[test]
+fn tight_batch_mate_never_costs_a_fused_request_its_bytes() {
+    let f = fixture();
+    let h = start(ServeConfig {
+        workers: 1,
+        cache_cap: 0,
+        ..Default::default()
+    });
+    let addr = h.addr();
+    let pool = denied_rows(f, 160);
+    assert!(pool.len() >= 80, "fixture produced too few denied rows");
+    let patient = post_explain(&pool[..32], 30_000);
+    let blocker = Arc::new(post_explain(&pool, 30_000));
+    let (code, alone) = roundtrip(addr, &patient);
+    assert_eq!(code, 200, "{alone}");
+    let t0 = Instant::now();
+    assert_eq!(roundtrip(addr, &blocker).0, 200);
+    let busy_for = t0.elapsed();
+
+    let rounds = 40;
+    for round in 0..rounds {
+        let busy = {
+            let blocker = Arc::clone(&blocker);
+            std::thread::spawn(move || roundtrip(addr, &blocker))
+        };
+        // Stagger the pair's arrival across the end of the blocker's run
+        // so rounds see the tight deadline expire in the queue, run out
+        // inside the fused call, or be met.
+        let at = 0.6 + 0.45 * round as f64 / rounds as f64;
+        std::thread::sleep(busy_for.mul_f64(at));
+        let tight = round % 32 + 32;
+        let tight = post_explain(&pool[tight..tight + 1], 1);
+        let tight = std::thread::spawn(move || roundtrip(addr, &tight));
+        let (code, body) = roundtrip(addr, &patient);
+        assert_eq!(code, 200, "round {round}: the 30 s request failed: {body}");
+        assert_eq!(body, alone, "round {round}: a batch-mate changed bytes");
+        let (code, body) = tight.join().unwrap();
+        assert!(code == 200 || code == 504, "round {round}: {code} {body}");
+        assert_eq!(busy.join().unwrap().0, 200);
+    }
+    h.shutdown();
+    let report = h.join();
+    let answered = report.served + report.timeouts;
+    assert_eq!(answered, 2 + 3 * rounds as u64, "{report:?}");
+    assert!(report.served >= 2 + 2 * rounds as u64, "{report:?}");
 }
 
 #[test]

@@ -214,6 +214,20 @@ fn tracing_and_drift_are_pure_observers_at_every_worker_count() {
             "no stage records in trace"
         );
         assert!(text.contains("\"trace\":\""), "no trace ids in trace");
+        // A request a worker explained and served names the deepest
+        // explain-ladder rung its rows reached.
+        let explained: Vec<&str> = text
+            .lines()
+            .filter(|l| {
+                l.contains("\"kind\":\"request\"")
+                    && l.contains("\"outcome\":\"served\"")
+                    && !l.contains("\"cache\":\"hit\"")
+            })
+            .collect();
+        assert!(!explained.is_empty(), "no served explain records");
+        for line in explained {
+            assert!(line.contains("\"rung\":\""), "no rung in {line}");
+        }
     }
     let _ = std::fs::remove_file(&trace_path);
 }
